@@ -40,7 +40,7 @@ var validExperiments = []string{
 	"table1", "table2", "fig4", "fig4all", "fig5", "fig6", "fig7", "fig8",
 	"fig9", "fig10", "resources", "loss", "transfer", "density", "operate",
 	"validity", "tune", "geom", "summary", "multi", "drift", "ablation",
-	"parbench", "resilience", "cache", "speed", "speedparity", "cascade",
+	"parbench", "resilience", "speed", "speedparity", "cascade",
 	"all",
 }
 
@@ -57,7 +57,7 @@ func writeJSONFile(path string, v interface{}) error {
 
 func main() {
 	var (
-		exp         = flag.String("exp", "", "experiment to run (table1, table2, fig4[all], fig5..fig10, resources, ablation, drift, multi, geom, validity, operate, tune, summary, loss, parbench, resilience, cache, speed, speedparity, cascade, all)")
+		exp         = flag.String("exp", "", "experiment to run (table1, table2, fig4[all], fig5..fig10, resources, ablation, drift, multi, geom, validity, operate, tune, summary, loss, parbench, resilience, speed, speedparity, cascade, all)")
 		task        = flag.String("task", "TA1", "task for single-task experiments (fig4, resources, loss)")
 		trials      = flag.Int("trials", 3, "independent trials to average (the paper uses 10)")
 		seed        = flag.Int64("seed", 1, "base random seed")
@@ -67,7 +67,6 @@ func main() {
 		parallelism = flag.Int("parallelism", runtime.NumCPU(), "concurrent experiment cells (trials/tasks/settings); results are identical at any value")
 		benchOut    = flag.String("benchout", "BENCH_parallel.json", "output file for the parbench experiment")
 		resOut      = flag.String("resout", "BENCH_resilience.json", "output file for the resilience experiment")
-		cacheOut    = flag.String("cacheout", "BENCH_cache.json", "output file for the cache experiment")
 		speedOut    = flag.String("speedout", "BENCH_speed.json", "output file for the speed experiment (speedparity prints to stdout)")
 		cascadeOut  = flag.String("cascadeout", "BENCH_cascade.json", "output file for the cascade experiment")
 		stride      = flag.Int("stride", 1, "speed experiment: frames the anchor advances between predictions")
@@ -181,17 +180,6 @@ func main() {
 				return err
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", *resOut)
-			return nil
-		case "cache":
-			res, err := harness.CacheSweep(*task, opt, 4, 30_000,
-				harness.CacheFleetPolicy(*parallelism), nil, nil, *seed, os.Stdout)
-			if err != nil {
-				return err
-			}
-			if err := writeJSONFile(*cacheOut, res); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *cacheOut)
 			return nil
 		case "speed":
 			res, err := harness.SpeedSweep(*task, opt, *stride, *anchors, *repeats, *seed, os.Stdout)

@@ -39,6 +39,7 @@ import (
 	"eventhit/internal/fleet"
 	"eventhit/internal/harness"
 	"eventhit/internal/serve"
+	"eventhit/internal/strategy"
 )
 
 func main() {
@@ -142,36 +143,9 @@ func runLive(taskName string, opt harness.Options, workers int, addr string, bud
 	}
 	log.Printf("coordinator on %s (budget $%.2f)", coordURL, budget)
 
-	var refs []cluster.WorkerRef
-	var started []*cluster.Worker
-	for i := 0; i < workers; i++ {
-		scfg := serve.Config{
-			Bundle:            env.Bundle,
-			EventNames:        names,
-			PerFrameUSD:       cloud.RekognitionPricing().PerFrameUSD,
-			DefaultConfidence: confidence,
-			DefaultCoverage:   coverage,
-		}
-		if budget > 0 || streamRate > 0 {
-			burst := streamRate // one second of burst headroom
-			scfg.Fleet = &fleet.ArbiterConfig{
-				PerFrameUSD:       scfg.PerFrameUSD,
-				SessionRatePerSec: streamRate,
-				SessionBurst:      burst,
-			}
-		}
-		id := fmt.Sprintf("worker-%d", i)
-		w, err := cluster.NewWorker(cluster.WorkerConfig{ID: id, Coordinator: coordURL, Serve: scfg})
-		if err != nil {
-			fatal(err)
-		}
-		url, err := w.Start("127.0.0.1:0", coordURL)
-		if err != nil {
-			fatal(err)
-		}
-		started = append(started, w)
-		refs = append(refs, cluster.WorkerRef{ID: id, URL: url})
-		log.Printf("worker %s on %s", id, url)
+	started, refs, err := startWorkers(workers, coordURL, env.Bundle, names, budget, streamRate, confidence, coverage)
+	if err != nil {
+		fatal(err)
 	}
 
 	front, err := cluster.NewFront(cluster.FrontConfig{Workers: refs, Coordinator: coordURL})
@@ -209,6 +183,48 @@ func runLive(taskName string, opt harness.Options, workers int, addr string, bud
 		coordHS.Close()
 		log.Printf("cluster stopped cleanly")
 	}
+}
+
+// startWorkers stands up n serve workers on loopback, registered with the
+// coordinator at coordURL ("" runs them standalone). Each worker serves its
+// own clone of bundle: core.Model caches activations and a server
+// serializes inference only under its own lock, so workers sharing one
+// model would race. On error the workers already started are returned for
+// the caller to close.
+func startWorkers(n int, coordURL string, bundle *strategy.Bundle, names []string, budget, streamRate, confidence, coverage float64) ([]*cluster.Worker, []cluster.WorkerRef, error) {
+	var started []*cluster.Worker
+	var refs []cluster.WorkerRef
+	for i := 0; i < n; i++ {
+		scfg := serve.Config{
+			Bundle:            bundle.Clone(),
+			EventNames:        names,
+			PerFrameUSD:       cloud.RekognitionPricing().PerFrameUSD,
+			DefaultConfidence: confidence,
+			DefaultCoverage:   coverage,
+		}
+		if budget > 0 || streamRate > 0 {
+			burst := streamRate // one second of burst headroom
+			scfg.Fleet = &fleet.ArbiterConfig{
+				PerFrameUSD:       scfg.PerFrameUSD,
+				SessionRatePerSec: streamRate,
+				SessionBurst:      burst,
+			}
+		}
+		id := fmt.Sprintf("worker-%d", i)
+		w, err := cluster.NewWorker(cluster.WorkerConfig{ID: id, Coordinator: coordURL, Serve: scfg})
+		if err != nil {
+			return started, refs, err
+		}
+		url, err := w.Start("127.0.0.1:0", coordURL)
+		if err != nil {
+			w.Close()
+			return started, refs, err
+		}
+		started = append(started, w)
+		refs = append(refs, cluster.WorkerRef{ID: id, URL: url})
+		log.Printf("worker %s on %s", id, url)
+	}
+	return started, refs, nil
 }
 
 func listenAndServe(hs *http.Server, addr string) (string, error) {

@@ -120,27 +120,17 @@ type simWorker struct {
 }
 
 // handleTimelines is POST /v1/cluster/timelines: compute every assigned
-// stream's timeline and return the batch. The phase-A recipe must match
-// fleet.Run exactly — in particular the cache-signing rewrite — or the
-// front's arbitration would see differently keyed requests.
+// stream's timeline with fleet.CollectStream, the phase-A recipe fleet.Run
+// uses, and return the batch.
 func (sw *simWorker) handleTimelines(w http.ResponseWriter, _ *http.Request) {
 	batch := timelineBatch{Timelines: make([]WireTimeline, 0, len(sw.streams))}
 	for _, s := range sw.streams {
-		if sw.cfg.Cache != nil {
-			s.Costs.Cache = sw.cfg.Cache
-		}
-		svc := cloud.NewService(s.Source.Stream(), sw.cfg.Pricing, sw.cfg.Latency)
-		m, err := pipeline.New(s.Source, s.Strategy, svc, s.Cfg, s.Costs)
+		ts, err := fleet.CollectStream(s, sw.cfg)
 		if err != nil {
-			clusterError(w, http.StatusInternalServerError, "stream %s: %v", s.ID, err)
+			clusterError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		tl, err := m.Collect(s.Start, s.End)
-		if err != nil {
-			clusterError(w, http.StatusInternalServerError, "stream %s: %v", s.ID, err)
-			return
-		}
-		batch.Timelines = append(batch.Timelines, toWire(s.ID, tl))
+		batch.Timelines = append(batch.Timelines, toWire(s.ID, ts.TL))
 	}
 	writeJSON(w, batch)
 }

@@ -299,26 +299,7 @@ func Run(streams []Stream, cfg Config) (*Report, error) {
 				if i >= len(streams) {
 					return
 				}
-				s := streams[i]
-				if cfg.Cache != nil {
-					// The fleet cache owns the keying: requests must be
-					// signed with the fleet's quantization, not whatever the
-					// stream carried. Signing is pure (no RNG, no clock), so
-					// the timeline is unchanged apart from the Key fields.
-					s.Costs.Cache = cfg.Cache
-				}
-				svc := cloud.NewService(s.Source.Stream(), cfg.Pricing, cfg.Latency)
-				m, err := pipeline.New(s.Source, s.Strategy, svc, s.Cfg, s.Costs)
-				if err != nil {
-					errs[i] = fmt.Errorf("fleet: stream %s: %w", s.ID, err)
-					continue
-				}
-				tl, err := m.Collect(s.Start, s.End)
-				if err != nil {
-					errs[i] = fmt.Errorf("fleet: stream %s: %w", s.ID, err)
-					continue
-				}
-				cells[i] = TimelineStream{ID: s.ID, Svc: svc, TL: tl}
+				cells[i], errs[i] = CollectStream(streams[i], cfg)
 			}
 		}()
 	}
@@ -329,6 +310,29 @@ func Run(streams []Stream, cfg Config) (*Report, error) {
 		}
 	}
 	return RunTimelines(cells, cfg)
+}
+
+// CollectStream is phase A for one stream: build its oracle CI service
+// and collect its timeline. With cfg.Cache set the fleet cache owns the
+// keying: requests are signed with the fleet's quantization, not whatever
+// the stream carried. Signing is pure (no RNG, no clock), so the timeline
+// is unchanged apart from the Key fields. Run and the cluster tier's
+// timeline workers both call it, so a sharded phase A collects exactly
+// what the in-process one does.
+func CollectStream(s Stream, cfg Config) (TimelineStream, error) {
+	if cfg.Cache != nil {
+		s.Costs.Cache = cfg.Cache
+	}
+	svc := cloud.NewService(s.Source.Stream(), cfg.Pricing, cfg.Latency)
+	m, err := pipeline.New(s.Source, s.Strategy, svc, s.Cfg, s.Costs)
+	if err != nil {
+		return TimelineStream{}, fmt.Errorf("fleet: stream %s: %w", s.ID, err)
+	}
+	tl, err := m.Collect(s.Start, s.End)
+	if err != nil {
+		return TimelineStream{}, fmt.Errorf("fleet: stream %s: %w", s.ID, err)
+	}
+	return TimelineStream{ID: s.ID, Svc: svc, TL: tl}, nil
 }
 
 // RunTimelines is phase B alone: serial arbitration plus scoring over

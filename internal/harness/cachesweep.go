@@ -5,11 +5,7 @@ import (
 	"io"
 
 	"eventhit/internal/cicache"
-	"eventhit/internal/features"
 	"eventhit/internal/fleet"
-	"eventhit/internal/mathx"
-	"eventhit/internal/pipeline"
-	"eventhit/internal/video"
 )
 
 // CachePoint is one (epsilon, TTL) setting of the cache sweep: the paired
@@ -78,40 +74,6 @@ func CacheFleetPolicy(parallelism int) fleet.Config {
 	return cfg
 }
 
-// cacheStreams builds the sweep workload: n cameras over ceil(n/2) scenes,
-// consecutive pairs watching the SAME scene (identical generation seed,
-// hence identical covariate timelines). Paired cameras release identical
-// relays, which is exactly the repetition a content-addressed cache is
-// for; unpaired content exercises the miss path.
-func cacheStreams(env *Env, opt Options, n, frames int, seed int64, conf, cov float64) ([]fleet.Stream, error) {
-	task := env.Task
-	streams := make([]fleet.Stream, n)
-	for i := range streams {
-		ss := seed + int64(1000*((i/2)+1))
-		st := video.Generate(task.Dataset, mathx.NewRNG(ss).Split(1))
-		ex, err := features.NewExtractor(st, task.EventIdx, opt.Detector, ss)
-		if err != nil {
-			return nil, fmt.Errorf("harness: cache stream %d: %w", i, err)
-		}
-		sb := *env.Bundle
-		sb.Model = env.Bundle.Model.Clone()
-		end := st.N - 1
-		if frames > 0 && frames < end {
-			end = frames
-		}
-		streams[i] = fleet.Stream{
-			ID:       fmt.Sprintf("cam-%02d", i),
-			Source:   ex,
-			Strategy: sb.EHCR(conf, cov),
-			Cfg:      env.Cfg,
-			Costs:    pipeline.EventHitCosts(env.Cfg.Window),
-			Start:    0,
-			End:      end,
-		}
-	}
-	return streams, nil
-}
-
 func meanRealizedREC(rep *fleet.Report) float64 {
 	if len(rep.Streams) == 0 {
 		return 0
@@ -123,13 +85,15 @@ func meanRealizedREC(rep *fleet.Report) float64 {
 	return sum / float64(len(rep.Streams))
 }
 
-// CacheSweep trains one bundle on the task, deploys it over the paired
-// workload of cacheStreams, and marshals it through the fleet scheduler
-// once uncached (the baseline) and once per (epsilon, TTL) grid cell with
-// the shared CI result cache on. Every cell rebuilds its streams from the
-// same seeds, so the only varying input is the cache config; at Epsilon 0
-// the delta is pure savings — coalesced twin relays — with zero recall
-// cost. frames <= 0 marshals whole streams; n <= 0 defaults to 4.
+// CacheSweep trains one bundle on the task, deploys it over n cameras
+// paired onto ceil(n/2) scenes (paired cameras release identical relays,
+// unpaired content exercises the miss path), and marshals them through the
+// fleet scheduler once uncached (the baseline) and once per (epsilon, TTL)
+// grid cell with the shared CI result cache on. Every cell rebuilds its
+// streams from the same seeds, so the only varying input is the cache
+// config; at Epsilon 0 the delta is pure savings — coalesced twin relays —
+// with zero recall cost. frames <= 0 marshals whole streams; n <= 0
+// defaults to 4.
 func CacheSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config, epsilons []float64, ttls []int, seed int64, w io.Writer) (*CacheResult, error) {
 	task, err := TaskByName(taskName)
 	if err != nil {
@@ -168,7 +132,7 @@ func CacheSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config, 
 	// rebuilds its streams (extractors are stateful) and runs with a fresh
 	// run-scoped registry (Config.Metrics nil).
 	if err := forEachCell(1+len(grid), func(i int) error {
-		streams, err := cacheStreams(env, opt, n, frames, seed, conf, cov)
+		streams, err := fleetStreams(env, n, 2, frames, seed)
 		if err != nil {
 			return err
 		}

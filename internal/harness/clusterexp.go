@@ -80,7 +80,7 @@ func ClusterSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config
 		Report  *fleet.Report      `json:"report"`
 		Metrics map[string]float64 `json:"metrics"`
 	}
-	streams, err := fleetStreams(task, opt, env, n, frames, seed)
+	streams, err := fleetStreams(env, n, 1, frames, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +102,7 @@ func ClusterSweep(taskName string, opt Options, n, frames int, fcfg fleet.Config
 	}
 	var makespan1 float64
 	for _, workers := range workerCounts {
-		streams, err := fleetStreams(task, opt, env, n, frames, seed)
+		streams, err := fleetStreams(env, n, 1, frames, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -32,25 +32,26 @@ type FleetResult struct {
 	Metrics map[string]float64 `json:"metrics"`
 }
 
-// fleetStreams builds the n independent camera streams the fleet
-// experiments marshal: one per cell, slotted by index, each with its own
+// fleetStreams builds the n camera streams the fleet experiments marshal,
+// one per cell, slotted by index. Consecutive groups of perScene cameras
+// watch the same scene (identical generation seed, hence identical
+// covariate timelines): 1 gives n independent scenes, 2 pairs cameras up —
+// the repetition a content-addressed cache is for. Each camera gets its own
 // model replica (Model.Predict reuses forward caches, and timelines are
-// computed concurrently). The conformal layers are read-only after
+// computed concurrently); the conformal layers are read-only after
 // calibration and stay shared. Rebuild the streams for every run — a used
 // stream carries warmed caches that a byte-identity comparison must not
 // see.
-func fleetStreams(task Task, opt Options, env *Env, n, frames int, seed int64) ([]fleet.Stream, error) {
+func fleetStreams(env *Env, n, perScene, frames int, seed int64) ([]fleet.Stream, error) {
 	const conf, cov = 0.9, 0.9
 	streams := make([]fleet.Stream, n)
 	if err := forEachCell(n, func(i int) error {
-		ss := seed + int64(1000*(i+1))
-		st := video.Generate(task.Dataset, mathx.NewRNG(ss).Split(1))
-		ex, err := features.NewExtractor(st, task.EventIdx, opt.Detector, ss)
+		ss := seed + int64(1000*(i/perScene+1))
+		st := video.Generate(env.Task.Dataset, mathx.NewRNG(ss).Split(1))
+		ex, err := features.NewExtractor(st, env.Task.EventIdx, env.Opt.Detector, ss)
 		if err != nil {
 			return fmt.Errorf("harness: fleet stream %d: %w", i, err)
 		}
-		sb := *env.Bundle
-		sb.Model = env.Bundle.Model.Clone()
 		end := st.N - 1
 		if frames > 0 && frames < end {
 			end = frames
@@ -58,7 +59,7 @@ func fleetStreams(task Task, opt Options, env *Env, n, frames int, seed int64) (
 		streams[i] = fleet.Stream{
 			ID:       fmt.Sprintf("cam-%02d", i),
 			Source:   ex,
-			Strategy: sb.EHCR(conf, cov),
+			Strategy: env.Bundle.Clone().EHCR(conf, cov),
 			Cfg:      env.Cfg,
 			Costs:    pipeline.EventHitCosts(env.Cfg.Window),
 			Start:    0,
@@ -90,7 +91,7 @@ func Fleet(taskName string, opt Options, n, frames int, fcfg fleet.Config, seed 
 		return nil, err
 	}
 
-	streams, err := fleetStreams(task, opt, env, n, frames, seed)
+	streams, err := fleetStreams(env, n, 1, frames, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"fmt"
-
 	"eventhit/internal/cicache"
 	"eventhit/internal/dataset"
 	"eventhit/internal/metrics"
@@ -68,49 +66,24 @@ type Timeline struct {
 func (tl Timeline) LocalMS() float64 { return tl.ScanMS + tl.PredMS }
 
 // Collect runs the marshalling loop over [start, end] and captures the
-// relay requests instead of serving them. The stage accounting (scan,
-// predict, the local clock) is identical to RunDetailed's; no CI call is
-// made, nothing is billed, and the Marshaller's resilient client is
-// untouched.
+// relay requests instead of serving them. The per-horizon step (record,
+// prediction, stage accounting, request keys) is RunDetailed's own; no CI
+// call is made, nothing is billed, and the Marshaller's resilient client
+// and its clock are untouched.
 func (m *Marshaller) Collect(start, end int) (Timeline, error) {
-	if start < m.cfg.Window-1 {
-		start = m.cfg.Window - 1
-	}
-	if end > m.ex.Stream().N-1 {
-		end = m.ex.Stream().N - 1
-	}
+	start, end = m.clamp(start, end)
 	var tl Timeline
 	for t := start; t+m.cfg.Horizon <= end; t += m.cfg.Horizon {
-		rec, err := dataset.BuildRecord(m.ex, t, m.cfg)
+		rec, pred, scanMS, predictMS, err := m.step(t, len(tl.Records))
 		if err != nil {
-			return Timeline{}, fmt.Errorf("pipeline: collect anchor %d: %w", t, err)
+			return Timeline{}, err
 		}
-		pred := m.strat.Predict(rec)
 		tl.Horizons++
-		scanMS := float64(m.costs.Scan.FramesPerHorizon) * m.costs.Scan.PerFrameMS
 		tl.ScanMS += scanMS
-		tl.PredMS += m.costs.PredictMS
-		m.scanH.Observe(scanMS)
-		m.predictH.Observe(m.costs.PredictMS)
-		release := tl.ScanMS + tl.PredMS
-		horizon := len(tl.Records)
-		for k, occ := range pred.Occur {
-			if !occ {
-				continue
-			}
-			req := RelayRequest{
-				Seq:         len(tl.Requests),
-				Horizon:     horizon,
-				Event:       k,
-				EventType:   m.ex.Events()[k],
-				Win:         video.Interval{Start: t + pred.OI[k].Start, End: t + pred.OI[k].End},
-				SlackFrames: pred.OI[k].Start,
-				ReleaseMS:   release,
-			}
-			if m.costs.Cache != nil {
-				req.Key = cicache.SignWindow(rec.X, m.ex.Events(), req.EventType, pred.OI[k], m.costs.Cache.Epsilon)
-				req.Keyed = true
-			}
+		tl.PredMS += predictMS
+		for _, req := range m.reqs {
+			req.Seq = len(tl.Requests)
+			req.ReleaseMS = tl.ScanMS + tl.PredMS
 			tl.Requests = append(tl.Requests, req)
 		}
 		tl.Records = append(tl.Records, rec)

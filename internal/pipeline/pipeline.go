@@ -249,6 +249,9 @@ type Marshaller struct {
 	// casc is Costs.Cascade; when set it is also strat, and per-horizon
 	// predict charges come from PredictCosted instead of Costs.PredictMS.
 	casc *cascade.Cascade
+	// reqs holds the relay requests of the latest step, reused across
+	// steps so serving a horizon allocates no request slice.
+	reqs []RelayRequest
 
 	// Stage histograms and run counters (see Costs.Metrics). The stage label
 	// matches Figure 10's decomposition: scan, predict, relay.
@@ -382,12 +385,7 @@ func (m *Marshaller) Run(start, end int) (Report, []dataset.Record, []metrics.Pr
 // recall on exactly the horizons whose relays reached the CI (deferred
 // relays deliver no frames and must not count as recalled).
 func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []metrics.Prediction, []RelayOutcome, error) {
-	if start < m.cfg.Window-1 {
-		start = m.cfg.Window - 1
-	}
-	if end > m.ex.Stream().N-1 {
-		end = m.ex.Stream().N - 1
-	}
+	start, end = m.clamp(start, end)
 	var rep Report
 	var recs []dataset.Record
 	var preds []metrics.Prediction
@@ -401,60 +399,40 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 		sv0 = m.cached.Savings()
 	}
 	for t := start; t+m.cfg.Horizon <= end; t += m.cfg.Horizon {
-		rec, err := dataset.BuildRecord(m.ex, t, m.cfg)
+		rec, pred, scanMS, predictMS, err := m.step(t, len(recs))
 		if err != nil {
-			return Report{}, nil, nil, nil, fmt.Errorf("pipeline: anchor %d: %w", t, err)
-		}
-		var pred metrics.Prediction
-		predictMS := m.costs.PredictMS
-		if m.casc != nil {
-			// The cascade charges what the ladder walk actually cost this
-			// horizon, not the flat per-horizon figure.
-			pred, predictMS = m.casc.PredictCosted(rec)
-		} else {
-			pred = m.strat.Predict(rec)
+			return Report{}, nil, nil, nil, err
 		}
 		rep.Horizons++
-		scanMS := float64(m.costs.Scan.FramesPerHorizon) * m.costs.Scan.PerFrameMS
 		rep.ScanMS += scanMS
 		rep.PredictMS += predictMS
-		m.scanH.Observe(scanMS)
-		m.predictH.Observe(predictMS)
 		// Scan and predict advance the shared clock too, so breaker
 		// cooldowns elapse on the pipeline's timeline, not only during CI
 		// activity.
 		m.clock.Advance(scanMS + predictMS)
-		horizon := len(recs)
-		for k, occ := range pred.Occur {
-			if !occ {
-				continue
-			}
-			abs := video.Interval{Start: t + pred.OI[k].Start, End: t + pred.OI[k].End}
+		for _, req := range m.reqs {
 			var res resilience.Result
-			var err error
-			if m.cached != nil {
-				key := cicache.SignWindow(rec.X, m.ex.Events(), m.ex.Events()[k], pred.OI[k], m.costs.Cache.Epsilon)
-				res, err = m.res.DetectKeyed(key, m.ex.Events()[k], abs)
+			if req.Keyed {
+				res, err = m.res.DetectKeyed(req.Key, req.EventType, req.Win)
 			} else {
-				res, err = m.res.Detect(m.ex.Events()[k], abs)
+				res, err = m.res.Detect(req.EventType, req.Win)
 			}
 			// Deferred calls consumed simulated time too (failed attempts,
 			// backoff); the relay histogram records both outcomes.
 			m.relayH.Observe(res.ElapsedMS)
-			out := RelayOutcome{Horizon: horizon, Event: k, Retried: res.Retried, Deferred: res.Deferred}
-			if err != nil {
-				if !m.costs.Degrade || !res.Deferred {
-					return Report{}, nil, nil, nil, fmt.Errorf("pipeline: CI call: %w", err)
-				}
+			out := RelayOutcome{Horizon: req.Horizon, Event: req.Event, Retried: res.Retried, Deferred: res.Deferred}
+			switch {
+			case err != nil && (!m.costs.Degrade || !res.Deferred):
+				return Report{}, nil, nil, nil, fmt.Errorf("pipeline: CI call: %w", err)
+			case err != nil:
 				rep.CIDeferred++
-				outs = append(outs, out)
-				continue
+			default:
+				if res.Retried {
+					rep.CIRetried++
+				}
+				out.Detections = len(res.Det.Found)
+				rep.Detections += out.Detections
 			}
-			if res.Retried {
-				rep.CIRetried++
-			}
-			out.Detections = len(res.Det.Found)
-			rep.Detections += out.Detections
 			outs = append(outs, out)
 		}
 		recs = append(recs, rec)
@@ -483,4 +461,53 @@ func (m *Marshaller) RunDetailed(start, end int) (Report, []dataset.Record, []me
 	m.ciSpentC.Add(u.SpentUSD - u0.SpentUSD)
 	m.ciFailedC.Add(float64(st.Failures - st0.Failures))
 	return rep, recs, preds, outs, nil
+}
+
+// clamp narrows [start, end] to the anchors the stream admits: the first
+// full collection window and the last frame.
+func (m *Marshaller) clamp(start, end int) (int, int) {
+	return max(start, m.cfg.Window-1), min(end, m.ex.Stream().N-1)
+}
+
+// step is one turn of the Figure-1 loop at anchor t, horizon index
+// horizon of its run: build the record, predict, charge scan and predict
+// time into the stage histograms, and emit the horizon's relay requests
+// into m.reqs. A cascade charges what its ladder walk actually cost this
+// horizon; any other strategy the flat Costs.PredictMS. m.reqs is reused,
+// so the requests are valid until the next step; Seq and ReleaseMS are
+// left zero for Collect to stamp.
+func (m *Marshaller) step(t, horizon int) (rec dataset.Record, pred metrics.Prediction, scanMS, predictMS float64, err error) {
+	rec, err = dataset.BuildRecord(m.ex, t, m.cfg)
+	if err != nil {
+		return rec, pred, 0, 0, fmt.Errorf("pipeline: anchor %d: %w", t, err)
+	}
+	predictMS = m.costs.PredictMS
+	if m.casc != nil {
+		pred, predictMS = m.casc.PredictCosted(rec)
+	} else {
+		pred = m.strat.Predict(rec)
+	}
+	scanMS = float64(m.costs.Scan.FramesPerHorizon) * m.costs.Scan.PerFrameMS
+	m.scanH.Observe(scanMS)
+	m.predictH.Observe(predictMS)
+	events := m.ex.Events()
+	m.reqs = m.reqs[:0]
+	for k, occ := range pred.Occur {
+		if !occ {
+			continue
+		}
+		req := RelayRequest{
+			Horizon:     horizon,
+			Event:       k,
+			EventType:   events[k],
+			Win:         video.Interval{Start: t + pred.OI[k].Start, End: t + pred.OI[k].End},
+			SlackFrames: pred.OI[k].Start,
+		}
+		if m.costs.Cache != nil {
+			req.Key = cicache.SignWindow(rec.X, events, req.EventType, pred.OI[k], m.costs.Cache.Epsilon)
+			req.Keyed = true
+		}
+		m.reqs = append(m.reqs, req)
+	}
+	return rec, pred, scanMS, predictMS, nil
 }

@@ -198,8 +198,6 @@ func buildCamera(env *harness.Env, spec *Spec, cam camera) (fleet.Stream, error)
 	if err != nil {
 		return fleet.Stream{}, fmt.Errorf("scenario: camera %s: %w", cam.id, err)
 	}
-	sb := *env.Bundle
-	sb.Model = env.Bundle.Model.Clone()
 	end := st.N - 1
 	if spec.Frames > 0 && spec.Frames < end {
 		end = spec.Frames
@@ -207,7 +205,7 @@ func buildCamera(env *harness.Env, spec *Spec, cam camera) (fleet.Stream, error)
 	return fleet.Stream{
 		ID:       cam.id,
 		Source:   ex,
-		Strategy: sb.EHCR(spec.Confidence, spec.Coverage),
+		Strategy: env.Bundle.Clone().EHCR(spec.Confidence, spec.Coverage),
 		Cfg:      env.Cfg,
 		Costs:    pipeline.EventHitCosts(env.Cfg.Window),
 		Start:    0,
@@ -503,9 +501,7 @@ func runDriftTask(spec *Spec, env *harness.Env, cams []camera, ts TaskSpec) (*Dr
 	// The drift walk is a model-coverage readout, not a marshalling run:
 	// predictions come straight from the existence strategy (no CI, no
 	// billing). The model is the camera's clone from buildCamera.
-	sb := *env.Bundle
-	sb.Model = env.Bundle.Model.Clone()
-	ehc := sb.EHC(spec.Confidence)
+	ehc := env.Bundle.Clone().EHC(spec.Confidence)
 	out := &DriftOut{
 		Stream: cam.id, SwitchFrame: cam.group.Drift.AtFrame,
 		MonitorWindow: window, MonitorDelta: delta, DetectFrame: -1,

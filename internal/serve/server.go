@@ -72,7 +72,10 @@ const DefaultSession = "default"
 
 // Config parametrizes the server.
 type Config struct {
-	// Bundle is the trained, calibrated EventHit unit.
+	// Bundle is the trained, calibrated EventHit unit. The server must own
+	// its model exclusively: inference is serialized only under this
+	// server's lock and core.Model caches activations, so two servers
+	// sharing one model race. Give each server its own Bundle.Clone().
 	Bundle *strategy.Bundle
 	// EventNames label the decisions (len K).
 	EventNames []string

@@ -34,21 +34,53 @@
 #   cluster    the cluster tier under -race (ring, lease coordinator,
 #              remote cache, front proxy, cross-worker shared swap), the
 #              BENCH_cluster.json schema + acceptance tests, then
-#              regenerate the sweep and byte-compare to the committed
-#              artifact — the sweep itself byte-compares the simulated
-#              cluster report at 1/2/4 workers against single-process
-#              fleet.Run (report_identical rows)
+#              regenerate the sweep at two env-construction parallelism
+#              levels and byte-compare to the committed artifact — the
+#              sweep itself byte-compares the simulated cluster report at
+#              1/2/4 workers against single-process fleet.Run
+#              (report_identical rows)
+#   resilience regenerate BENCH_resilience.json (recall/cost vs CI fault
+#              rate through the resilient client's retry, backoff and
+#              breaker clock) at two parallelism levels, byte-identical to
+#              the committed artifact
 #   speed      the predict fast-path gates: the BENCH_speed.json schema and
 #              acceptance tests, the deterministic parity block regenerated
-#              twice and byte-compared, and a benchstat-style perf gate that
-#              times the float vs combined fast hot path and fails if the
-#              speedup drops below a machine-independent 1.5x floor
+#              at two parallelism levels and byte-compared, and a
+#              benchstat-style perf gate that times the float vs combined
+#              fast hot path and fails if the speedup drops below a
+#              machine-independent 1.5x floor
 #   cascade    the early-inference ladder under -race, the
 #              BENCH_cascade.json schema + acceptance tests (selected point:
 #              |REC delta| <= 0.02 at >= 30% compute cut, exit rates summing
 #              to 1), then regenerate the sweep at harness parallelism 1 and
 #              4 and require both byte-identical to the committed artifact
+#
+# Every committed artifact is checked by one call to regen (below): the
+# regenerating command runs at parallelism 1 and 4, both outputs must be
+# byte-identical, and equal to the committed file.
 set -eu
+
+tmpdir=$(mktemp -d)
+trap 'rm -rf "$tmpdir"' EXIT
+
+# regen ARTIFACT OUTFLAG CMD...: run CMD with -parallelism 1 and then 4,
+# writing its report through OUTFLAG (">" for stdout). Both runs must be
+# byte-identical and, unless ARTIFACT is "-", equal to the committed file.
+regen() {
+    artifact=$1 outflag=$2
+    shift 2
+    for p in 1 4; do
+        if [ "$outflag" = ">" ]; then
+            "$@" -parallelism "$p" > "$tmpdir/regen_p$p"
+        else
+            "$@" -parallelism "$p" "$outflag" "$tmpdir/regen_p$p" >/dev/null
+        fi
+    done
+    cmp "$tmpdir/regen_p1" "$tmpdir/regen_p4"
+    if [ "$artifact" != "-" ]; then
+        cmp "$tmpdir/regen_p1" "$artifact"
+    fi
+}
 
 echo "== gofmt =="
 fmt_out=$(gofmt -l .)
@@ -86,55 +118,39 @@ go test -race ./internal/fleet/ -count=1
 go test ./internal/harness/ -run 'TestFleetGoldenJSONShape|TestFleetExperimentDeterministicAcrossParallelism' -count=1
 
 echo "== BENCH_fleet.json regeneration (byte-identical at parallelism 1 and 4) =="
-tmpdir=$(mktemp -d)
-trap 'rm -rf "$tmpdir"' EXIT
-go run ./cmd/eventhitfleet -quick -streams 3 -frames 20000 -seed 5 \
-    -budget 0.5 -streamrate 600 -streamburst 3000 -parallelism 1 \
-    -out "$tmpdir/fleet_p1.json" >/dev/null
-go run ./cmd/eventhitfleet -quick -streams 3 -frames 20000 -seed 5 \
-    -budget 0.5 -streamrate 600 -streamburst 3000 -parallelism 4 \
-    -out "$tmpdir/fleet_p4.json" >/dev/null
-cmp "$tmpdir/fleet_p1.json" "$tmpdir/fleet_p4.json"
-cmp "$tmpdir/fleet_p1.json" BENCH_fleet.json
+regen BENCH_fleet.json -out go run ./cmd/eventhitfleet -quick -streams 3 -frames 20000 \
+    -seed 5 -budget 0.5 -streamrate 600 -streamburst 3000
 
 echo "== BENCH_cache.json regeneration (byte-identical at parallelism 1 and 4) =="
 go test ./internal/harness/ -run 'TestCacheGoldenJSONShape' -count=1
-go run ./cmd/eventhitfleet -cachesweep -quick -streams 4 -frames 12000 -seed 5 \
-    -parallelism 1 -cacheout "$tmpdir/cache_p1.json" >/dev/null
-go run ./cmd/eventhitfleet -cachesweep -quick -streams 4 -frames 12000 -seed 5 \
-    -parallelism 4 -cacheout "$tmpdir/cache_p4.json" >/dev/null
-cmp "$tmpdir/cache_p1.json" "$tmpdir/cache_p4.json"
-cmp "$tmpdir/cache_p1.json" BENCH_cache.json
+regen BENCH_cache.json -cacheout go run ./cmd/eventhitfleet -cachesweep -quick \
+    -streams 4 -frames 12000 -seed 5
 
 echo "== cluster tier (race: ring, leases, remote cache, front, shared swap) =="
 go test -race ./internal/cluster/ -count=1
 go test ./internal/harness/ -run 'TestClusterGoldenJSONShape|TestClusterArtifact|TestClusterSweepQuick' -count=1
 
 echo "== BENCH_cluster.json regeneration (sim report byte-identical at 1/2/4 workers) =="
-go run ./cmd/eventhitcluster -sim -streams 8 -frames 12000 -seed 5 -budget 0.5 \
-    -out "$tmpdir/cluster.json" >/dev/null
-cmp "$tmpdir/cluster.json" BENCH_cluster.json
+regen BENCH_cluster.json -out go run ./cmd/eventhitcluster -sim -streams 8 -frames 12000 \
+    -seed 5 -budget 0.5
+
+echo "== BENCH_resilience.json regeneration (byte-identical at parallelism 1 and 4) =="
+regen BENCH_resilience.json -resout go run ./cmd/eventhitbench -exp resilience -quick \
+    -task TA10 -seed 5
 
 echo "== scenario corpus golden gate (via the shipped binary) =="
 go run ./cmd/eventhitscenario -corpus
 
 echo "== predict fast path (schema + artifact + parity byte-identity) =="
 go test ./internal/harness/ -run 'TestSpeedGoldenJSONShape|TestSpeedArtifact|TestSpeedParityQuick' -count=1
-go run ./cmd/eventhitbench -exp speedparity -quick -seed 1 > "$tmpdir/speedparity_a.json"
-go run ./cmd/eventhitbench -exp speedparity -quick -seed 1 > "$tmpdir/speedparity_b.json"
-cmp "$tmpdir/speedparity_a.json" "$tmpdir/speedparity_b.json"
+regen - ">" go run ./cmd/eventhitbench -exp speedparity -quick -seed 1
 
 echo "== early-inference cascade (race + schema + artifact) =="
 go test -race ./internal/cascade/ -count=1
 go test ./internal/harness/ -run 'TestCascadeGoldenJSONShape|TestCascadeArtifact|TestCascadeSweepQuick' -count=1
 
 echo "== BENCH_cascade.json regeneration (byte-identical at parallelism 1 and 4) =="
-go run ./cmd/eventhitbench -exp cascade -quick -seed 1 -parallelism 1 \
-    -cascadeout "$tmpdir/cascade_p1.json" >/dev/null
-go run ./cmd/eventhitbench -exp cascade -quick -seed 1 -parallelism 4 \
-    -cascadeout "$tmpdir/cascade_p4.json" >/dev/null
-cmp "$tmpdir/cascade_p1.json" "$tmpdir/cascade_p4.json"
-cmp "$tmpdir/cascade_p1.json" BENCH_cascade.json
+regen BENCH_cascade.json -cascadeout go run ./cmd/eventhitbench -exp cascade -quick -seed 1
 
 echo "== predict fast path perf gate (fast >= 1.5x float) =="
 go test -run '^$' -bench 'BenchmarkPredictHot(Float|Fast)$' -benchtime 1s -count 2 . \
